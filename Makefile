@@ -39,11 +39,13 @@ golden:
 	$(GO) test . -run 'TestGoldenCorpus$$' -update
 
 # Short fuzz pass over the transport segmentation, loss recovery, cache
-# and scheduler invariants; CI runs this on every push.
+# invariants, the cache against its naive-LRU oracle, and scheduler
+# ordering; CI runs this on every push.
 fuzz-smoke:
 	$(GO) test ./internal/tcp -run '^$$' -fuzz FuzzTCPSegmentation -fuzztime 15s
 	$(GO) test ./internal/tcp -run '^$$' -fuzz FuzzTCPLossRecovery -fuzztime 15s
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzCacheAccessRange -fuzztime 15s
+	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzCacheLRUOracle -fuzztime 15s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzSchedulerOrdering -fuzztime 15s
 
 # Fault-plane smoke: the loss sweep under strict fail-fast checking, plus
