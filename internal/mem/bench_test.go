@@ -63,6 +63,32 @@ func BenchmarkAccessLines(b *testing.B) {
 	}
 }
 
+// BenchmarkAccessLinesNodes is BenchmarkAccessLines spread over the 20
+// node caches of a datacenter figure, each warmed with its tier's 1.5 MB
+// working set. Every access picks a node and a line at random, so the
+// cache state of all nodes together outgrows the host's caches and hits
+// land evenly over the ways: the regime a move-to-front set encoding
+// pays for on every hit.
+func BenchmarkAccessLinesNodes(b *testing.B) {
+	const nodes = 20
+	ws := 1536 << 10
+	caches := make([]*Cache, nodes)
+	for i := range caches {
+		caches[i] = benchCache()
+		caches[i].AccessRange(0, ws)
+	}
+	lines := ws / caches[0].LineSize()
+	rnd := uint64(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rnd = rnd*6364136223846793005 + 1442695040888963407
+		r := int(rnd >> 33)
+		c := caches[r%nodes]
+		c.AccessLines(Addr(r/nodes%lines*c.LineSize()), 1)
+	}
+}
+
 // BenchmarkInvalidate covers the DMA-write coherence path: per-frame
 // payload invalidation (resident and absent lines) and a wrap-around
 // range.

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -244,5 +246,109 @@ func TestModelZeroSizes(t *testing.T) {
 	m := NewModel(cost.Default())
 	if m.CopyCost(0, 0, 0) != 0 || m.TouchCost(0, 0) != 0 || m.RandomCost(0, 0) != 0 {
 		t.Fatal("zero-size operations must cost nothing")
+	}
+}
+
+// TestCacheTickWrap starts the 32-bit LRU tick a few hundred below the
+// wrap on a warmed cache and runs a mixed op stream across it, on the
+// 8-way fast path and the generic loop. Every outcome must match the
+// naive-LRU oracle op for op: renormalising the stamps may not change a
+// single hit, miss or eviction.
+func TestCacheTickWrap(t *testing.T) {
+	for _, ways := range []int{8, 3} {
+		lineSize, nsets := 64, 16
+		c := NewCache(lineSize*ways*nsets, lineSize, ways)
+		o := newLRUOracle(lineSize, ways, nsets)
+		rnd := uint64(ways)
+		next := func() uint64 {
+			rnd = rnd*6364136223846793005 + 1442695040888963407
+			return rnd >> 33
+		}
+		span := uint64(4 * c.Size())
+		step := 0
+		run := func(ops int) {
+			for i := 0; i < ops; i++ {
+				op := cacheOp{kind: byte(next()), addr: Addr(next() % span), n: int(next() % (span / 8))}
+				applyOp(t, c, o, step, op)
+				step++
+			}
+		}
+		run(200)
+		c.tick = math.MaxUint32 - 300
+		run(400)
+		if c.tick > math.MaxUint32-300 {
+			t.Fatalf("%d-way: stream never wrapped the tick (tick %d)", ways, c.tick)
+		}
+		// One call that needs more ticks than remain renormalises first.
+		c.tick = math.MaxUint32 - 5
+		applyOp(t, c, o, step, cacheOp{kind: 0, addr: 0, n: 100 * lineSize})
+		checkOracleEnd(t, c, o)
+	}
+}
+
+// TestCacheTagRangePanics pins the 32-bit tag limit on a one-set
+// geometry, where the tag is the whole line number plus one: the last
+// line whose tag fits is usable, and every operation that reaches past
+// it panics with errTagRange instead of aliasing a low line.
+func TestCacheTagRangePanics(t *testing.T) {
+	c := NewCache(16, 16, 1)
+	top := Addr(math.MaxUint32-1) << 4 // the last line with a 32-bit tag
+	c.Access(top)
+	if !c.Contains(top) || c.Contains(0) {
+		t.Fatal("the last taggable line is not resident on its own")
+	}
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"Access", func() { c.Access(top + 16) }},
+		{"AccessRange", func() { c.AccessRange(top, 32) }},
+		{"AccessLines", func() { c.AccessLines(top, 2) }},
+		{"Install", func() { c.Install(top+16, 1) }},
+		{"Invalidate", func() { c.Invalidate(top, 17) }},
+		{"Contains", func() { c.Contains(top + 16) }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != errTagRange {
+					t.Errorf("%s past the tag range: recovered %v, want %v", tc.name, r, errTagRange)
+				}
+			}()
+			tc.op()
+		}()
+	}
+}
+
+// TestCacheAuditCatchesCorruption corrupts one set block of a full
+// cache in each way Audit guards against and requires each to be
+// reported.
+func TestCacheAuditCatchesCorruption(t *testing.T) {
+	full := func() *Cache {
+		c := NewCache(64*8*4, 64, 8)
+		c.AccessRange(0, 2*c.Size())
+		if err := c.Audit(); err != nil {
+			t.Fatalf("clean cache fails its audit: %v", err)
+		}
+		return c
+	}
+	const base = 16 // set 1's block
+	for _, tc := range []struct {
+		name    string
+		corrupt func(c *Cache)
+		want    string
+	}{
+		{"stamp after tick", func(c *Cache) { c.state[base+8+3] = c.tick + 1 }, "later than the tick"},
+		{"invalid with stamp", func(c *Cache) { c.state[base+5] = 0 }, "is invalid but has LRU stamp"},
+		{"way 0 not newest", func(c *Cache) {
+			c.state[base+8], c.state[base+8+2] = c.state[base+8+2], c.state[base+8]
+		}, "is not older than way 0"},
+		{"duplicate tag", func(c *Cache) { c.state[base+2] = c.state[base+3] }, "duplicate tag"},
+	} {
+		c := full()
+		tc.corrupt(c)
+		err := c.Audit()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Audit() = %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
