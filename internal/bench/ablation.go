@@ -73,6 +73,7 @@ func AblPin(cfg Config) *Result {
 	}, func(i int) pinRow {
 		p := params(i)
 		cl, node, _ := host.Testbed1(p, ioat.Linux(), cfg.Seed, cfg.hostOpts()...)
+		defer cl.Close()
 		var r pinRow
 		cl.S.Spawn("ablpin", func(pr *sim.Proc) {
 			size := 64 * cost.KB

@@ -297,6 +297,7 @@ func runMicro(p *cost.Params, feat ioat.Features, cfg Config,
 func runMicroWith(p *cost.Params, feat ioat.Features, cfg Config,
 	build func(a, b *host.Node) []stream, post func(a, b *host.Node)) microResult {
 	cl, a, b := host.Testbed1(p, feat, cfg.Seed, cfg.hostOpts()...)
+	defer cl.Close()
 	streams := build(a, b)
 	for _, sp := range streams {
 		sp.launch()

@@ -22,6 +22,7 @@ type fig6Row struct {
 // engine.
 func fig6Point(cfg Config, size int) fig6Row {
 	cl, node, _ := host.Testbed1(cfg.params(), ioat.Linux(), cfg.Seed, cfg.hostOpts()...)
+	defer cl.Close()
 	row := fig6Row{Size: size}
 	cl.S.Spawn("fig6", func(p *sim.Proc) {
 		// copy-cache: warm both buffers first.

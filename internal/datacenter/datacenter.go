@@ -43,6 +43,9 @@ type Tier struct {
 	FS       *ramfs.FS // content store (web tier)
 	appState mem.Buffer
 	rand     *rng.Rand
+	// touches holds one request's working-set line indices, drawn
+	// before they are priced in one batched cache walk.
+	touches []uint32
 }
 
 // newTier builds a tier on the node, allocating its working set.
@@ -52,21 +55,23 @@ func newTier(n *host.Node, r *rng.Rand) *Tier {
 		FS:       ramfs.New(n.Mem),
 		appState: n.Mem.Space.Alloc(AppStateBytes, 0),
 		rand:     r,
+		touches:  make([]uint32, AppStateLines),
 	}
 }
 
 // appWork prices one request's application work: the fixed cost plus
 // working-set touches through the node's cache. When receive-path
 // traffic has evicted the working set, these touches miss and the
-// request slows down — the coupling the paper's §5 results rest on.
+// request slows down — the coupling the paper's §5 results rest on. The
+// touched lines are drawn first and then priced in order in one batched
+// walk; cache outcomes never feed a draw, so this is the same stream of
+// draws and accesses as pricing each line as it is drawn.
 func (t *Tier) appWork(fixed time.Duration) time.Duration {
 	lines := t.appState.Size / t.Node.P.CacheLine
-	var d time.Duration
-	for i := 0; i < AppStateLines; i++ {
-		line := t.rand.Intn(lines)
-		d += t.Node.Mem.RandomCost(t.appState.Addr+mem.Addr(line*t.Node.P.CacheLine), 1)
+	for i := range t.touches {
+		t.touches[i] = uint32(t.rand.Intn(lines))
 	}
-	return fixed + d
+	return fixed + t.Node.Mem.RandomLinesCost(t.appState, t.touches)
 }
 
 // Metrics is one measured configuration.

@@ -16,6 +16,7 @@ import (
 func RunTwoTier(o Options) Metrics {
 	o.defaults()
 	cl := host.NewCluster(o.P, o.Seed, o.hostOpts()...)
+	defer cl.Close()
 	proxyNode := cl.Add("proxy", o.Feat, 6)
 	webNode := cl.Add("web", o.Feat, 6)
 	clients := cl.AddClients(o.ClientNodes, ioat.None())
@@ -47,6 +48,7 @@ func RunTwoTier(o Options) Metrics {
 func RunEmulated(o Options, threads int) Metrics {
 	o.defaults()
 	cl := host.NewCluster(o.P, o.Seed, o.hostOpts()...)
+	defer cl.Close()
 	clientNode := cl.Add("client", o.Feat, 6)
 	webNode := cl.Add("web", o.Feat, 6)
 

@@ -109,6 +109,7 @@ func startAppTier(app *Tier, db *host.Node, o ThreeTierOptions) {
 func RunThreeTier(o ThreeTierOptions) ThreeTierMetrics {
 	o.defaults()
 	cl := host.NewCluster(o.P, o.Seed, o.hostOpts()...)
+	defer cl.Close()
 	proxyNode := cl.Add("proxy", o.Feat, 6)
 	appNode := cl.Add("app", o.Feat, 6)
 	dbNode := cl.Add("db", o.Feat, 6)

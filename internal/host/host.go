@@ -242,6 +242,13 @@ func (c *Cluster) MustVerify() {
 	}
 }
 
+// Close ends the cluster's simulation: every process still parked —
+// accept loops, workers, servers — is unwound and its goroutine exits,
+// so nothing keeps the nodes reachable once the caller drops the
+// cluster. Call it (typically deferred) when the run's metrics have been
+// read; the cluster cannot run again afterwards.
+func (c *Cluster) Close() { c.S.Close() }
+
 // Add builds and registers a node.
 func (c *Cluster) Add(name string, feat ioat.Features, nports int) *Node {
 	if _, dup := c.byName[name]; dup {

@@ -1,6 +1,10 @@
 package mem
 
-import "testing"
+import (
+	"testing"
+
+	"ioatsim/internal/cost"
+)
 
 // benchCache builds the default Testbed-1 geometry: 2 MB, 64 B lines,
 // 8-way (4096 sets).
@@ -46,8 +50,9 @@ func BenchmarkAccessRange(b *testing.B) {
 }
 
 // BenchmarkAccessLines covers the dependent single-line pattern of
-// protocol-header, connection-state and application working-set reads
-// (the datacenter figures' hot loop), at a ~75% hit rate.
+// protocol-header and connection-state reads, and the per-line cost the
+// datacenter figures' working-set reads paid before they were batched
+// (BenchmarkRandomLinesCost), at a ~75% hit rate.
 func BenchmarkAccessLines(b *testing.B) {
 	c := benchCache()
 	ws := 1536 << 10 // the datacenter tier working set
@@ -122,5 +127,48 @@ func BenchmarkInvalidate(b *testing.B) {
 			c.Invalidate(0, big)
 		}
 		b.SetBytes(int64(big))
+	})
+}
+
+// BenchmarkRandomLinesCost prices one data-center request's app work —
+// 1024 random lines of a 1.5 MB working set on a warmed 2 MB cache —
+// as one batched RandomLinesCost call and as the one-line RandomCost
+// loop it replaces. Each op is one request.
+func BenchmarkRandomLinesCost(b *testing.B) {
+	const ws, touches = 1536 << 10, 1024
+	setup := func() (*Model, Buffer, [][]uint32) {
+		m := NewModel(cost.Default())
+		buf := m.Space.Alloc(ws, 0)
+		m.TouchCost(buf.Addr, ws)
+		lines := ws / m.P.CacheLine
+		rnd := uint64(1)
+		reqs := make([][]uint32, 64)
+		for r := range reqs {
+			reqs[r] = make([]uint32, touches)
+			for k := range reqs[r] {
+				rnd = rnd*6364136223846793005 + 1442695040888963407
+				reqs[r][k] = uint32(int(rnd>>33) % lines)
+			}
+		}
+		return m, buf, reqs
+	}
+	b.Run("batched", func(b *testing.B) {
+		m, buf, reqs := setup()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.RandomLinesCost(buf, reqs[i%len(reqs)])
+		}
+	})
+	b.Run("single", func(b *testing.B) {
+		m, buf, reqs := setup()
+		line := m.P.CacheLine
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, k := range reqs[i%len(reqs)] {
+				m.RandomCost(buf.Addr+Addr(int(k)*line), 1)
+			}
+		}
 	})
 }

@@ -53,6 +53,10 @@ type Cache struct {
 // stamps more lines than the tick can count.
 var errTagRange = errors.New("mem: range exceeds the cache's 32-bit tag range")
 
+// errLineIndex is the panic value for an AccessIndexed index that names
+// a line outside the buffer.
+var errLineIndex = errors.New("mem: line index outside the buffer")
+
 // NewCache returns a cache of the given total size, line size and
 // associativity. Size must be a multiple of lineSize*ways and the derived
 // set count must be a power of two.
@@ -269,10 +273,8 @@ func (c *Cache) accessLines(first uint64, n int) (hits, misses int) {
 			tag++
 		}
 	}
-	c.tick = tick
 	misses = n - hits
-	c.Hits += uint64(hits)
-	c.Misses += uint64(misses)
+	c.commit(tick, hits, misses)
 	return hits, misses
 }
 
@@ -300,6 +302,59 @@ func (c *Cache) AccessLines(addr Addr, nLines int) (hits, misses int) {
 		return 0, 0
 	}
 	return c.accessLines(uint64(addr)>>c.shift, nLines)
+}
+
+// AccessIndexed touches, in order, the lines of buf named by idx —
+// index i is the line holding buf.Addr + i*LineSize — allocating on miss,
+// and returns the hit and miss counts. Outcomes, counters and final state
+// are exactly those of one AccessLines(buf.Addr+i*LineSize, 1) call per
+// index, but the tag-range check (on the buffer's last line) and the
+// tick reservation run once per call: each index then costs a bounds
+// check, a way-0 compare and, past way 0, one touch. An index at or past
+// the buffer's end panics with errLineIndex, after the lines before it
+// have been counted.
+//
+//ioat:hotpath
+func (c *Cache) AccessIndexed(buf Buffer, idx []uint32) (hits, misses int) {
+	if len(idx) == 0 {
+		return 0, 0
+	}
+	first := uint64(buf.Addr) >> c.shift
+	n := uint64(max(buf.Size, 0)+c.lineSize-1) >> c.shift
+	if n == 0 {
+		panic(errLineIndex)
+	}
+	c.locate(first, first+n-1)
+	c.reserve(len(idx))
+	tick := c.tick
+	st, ways, stride, mask, setBits := c.state, c.ways, c.stride, c.mask, c.setBits
+	for k, i := range idx {
+		if uint64(i) >= n {
+			c.commit(tick, hits, k-hits)
+			panic(errLineIndex)
+		}
+		line := first + uint64(i)
+		base := int(line&mask) * stride
+		tag := uint32(line>>setBits) + 1
+		tick++
+		if st[base] == tag {
+			st[base+ways] = tick
+			hits++
+		} else if hit, _ := c.touch(base, tag, tick); hit {
+			hits++
+		}
+	}
+	misses = len(idx) - hits
+	c.commit(tick, hits, misses)
+	return hits, misses
+}
+
+// commit stores a walker's tick and adds its hit and miss counts to the
+// cache's totals.
+func (c *Cache) commit(tick uint32, hits, misses int) {
+	c.tick = tick
+	c.Hits += uint64(hits)
+	c.Misses += uint64(misses)
 }
 
 // Install brings every line of [addr, addr+n) into the cache without

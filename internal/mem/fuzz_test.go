@@ -183,7 +183,7 @@ type cacheOp struct {
 // cache's global hit and miss counters.
 func applyOp(t *testing.T, c *Cache, o *lruOracle, step int, op cacheOp) {
 	t.Helper()
-	switch op.kind % 8 {
+	switch op.kind % 9 {
 	case 0:
 		h, m := c.AccessRange(op.addr, op.n)
 		wh, wm := o.access(o.lines(op.addr, op.n))
@@ -244,10 +244,54 @@ func applyOp(t *testing.T, c *Cache, o *lruOracle, step int, op cacheOp) {
 		if got := c.Resident(op.addr, op.n); got != want {
 			t.Fatalf("op %d Resident(%d, %d) = %d, oracle %d", step, op.addr, op.n, got, want)
 		}
+	case 8:
+		buf := Buffer{Addr: op.addr, Size: max(op.n, 1)}
+		lines := (buf.Size-1)>>o.shift + 1 // i*lineSize < Size
+		applyIndexed(t, c, o, step, buf, indexList(op, lines, len(o.sets)))
 	}
 	if c.Hits != o.hits || c.Misses != o.misses {
 		t.Fatalf("op %d: cache counters %d/%d hits/misses, oracle %d/%d",
 			step, c.Hits, c.Misses, o.hits, o.misses)
+	}
+}
+
+// indexList derives an AccessIndexed index list over a buffer of lines
+// lines from op: up to 40 indices mixing fresh random lines, repeats of
+// the previous index, and lines nsets past it, which fall in the same
+// set.
+func indexList(op cacheOp, lines, nsets int) []uint32 {
+	rnd := uint64(op.addr)*0x9e3779b97f4a7c15 + uint64(op.n) + 1
+	idx := make([]uint32, op.n%41)
+	for k := range idx {
+		rnd = rnd*6364136223846793005 + 1442695040888963407
+		r := int(rnd >> 33)
+		switch {
+		case k > 0 && r%4 == 0:
+			idx[k] = idx[k-1]
+		case k > 0 && r%4 == 1 && int(idx[k-1])+nsets < lines:
+			idx[k] = idx[k-1] + uint32(nsets)
+		default:
+			idx[k] = uint32(r % lines)
+		}
+	}
+	return idx
+}
+
+// applyIndexed runs AccessIndexed(buf, idx) on c and the same lines one
+// by one on o, and fails t if the hit or miss counts differ.
+func applyIndexed(t *testing.T, c *Cache, o *lruOracle, step int, buf Buffer, idx []uint32) {
+	t.Helper()
+	h, m := c.AccessIndexed(buf, idx)
+	first := uint64(buf.Addr) >> o.shift
+	var wh, wm int
+	for _, i := range idx {
+		lh, lm := o.access(first+uint64(i), 1)
+		wh += lh
+		wm += lm
+	}
+	if h != wh || m != wm {
+		t.Fatalf("op %d AccessIndexed(%v, %d indices) = %d/%d hits/misses, oracle %d/%d",
+			step, buf, len(idx), h, m, wh, wm)
 	}
 }
 

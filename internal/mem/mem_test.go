@@ -5,8 +5,11 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"ioatsim/internal/check"
 	"ioatsim/internal/cost"
+	"ioatsim/internal/trace"
 )
 
 func TestSpaceAllocDisjoint(t *testing.T) {
@@ -242,9 +245,109 @@ func TestModelRandomCost(t *testing.T) {
 	}
 }
 
+// TestModelRandomLinesCostMatchesRandomCost prices the same random
+// working-set touches on twin checked, profiled models: one batched
+// RandomLinesCost call per request against one RandomCost(line, 1) per
+// index. Durations, cache counters, profiler sites and the residency of
+// every buffer line must agree after every request.
+func TestModelRandomLinesCostMatchesRandomCost(t *testing.T) {
+	p := cost.Default()
+	twin := func() (*Model, *trace.Profiler, *check.Checker) {
+		m := NewModel(p)
+		chk := check.New()
+		m.SetChecker(chk)
+		prof := trace.NewProfiler()
+		m.SetObs(&trace.Obs{P: prof})
+		return m, prof, chk
+	}
+	batched, bprof, bchk := twin()
+	single, sprof, schk := twin()
+	const ws = 1536 * cost.KB // a data-center tier's working set
+	buf := batched.Space.Alloc(ws, 0)
+	single.Space.Alloc(ws, 0)
+	other := batched.Space.Alloc(ws, 0) // traffic that evicts the working set
+	single.Space.Alloc(ws, 0)
+	lines := ws / p.CacheLine
+
+	rnd := uint64(7)
+	idx := make([]uint32, 1024)
+	for req := 0; req < 12; req++ {
+		for k := range idx {
+			rnd = rnd*6364136223846793005 + 1442695040888963407
+			idx[k] = uint32(int(rnd>>33) % lines)
+		}
+		got := batched.RandomLinesCost(buf, idx)
+		var want time.Duration
+		for _, i := range idx {
+			want += single.RandomCost(buf.Addr+Addr(int(i)*p.CacheLine), 1)
+		}
+		if got != want {
+			t.Fatalf("request %d: batched %v, one line at a time %v", req, got, want)
+		}
+		if req%3 == 2 {
+			batched.TouchCost(other.Addr, ws/2)
+			single.TouchCost(other.Addr, ws/2)
+		}
+	}
+	if batched.Cache.Hits != single.Cache.Hits || batched.Cache.Misses != single.Cache.Misses {
+		t.Fatalf("cache counters: batched %d/%d hits/misses, single %d/%d",
+			batched.Cache.Hits, batched.Cache.Misses, single.Cache.Hits, single.Cache.Misses)
+	}
+	if batched.Cache.Hits == 0 || batched.Cache.Misses == 0 {
+		t.Fatalf("degenerate stream: %d hits, %d misses", batched.Cache.Hits, batched.Cache.Misses)
+	}
+	for _, site := range []trace.Site{trace.SiteHeaderHit, trace.SiteHeaderMiss} {
+		if b, s := bprof.Self(site), sprof.Self(site); b != s {
+			t.Fatalf("profiler site %v: batched %v, single %v", site, b, s)
+		}
+	}
+	for l := 0; l < lines; l++ {
+		a := buf.Addr + Addr(l*p.CacheLine)
+		if batched.Cache.Contains(a) != single.Cache.Contains(a) {
+			t.Fatalf("line %d: resident in one twin only", l)
+		}
+	}
+	for _, c := range []*check.Checker{bchk, schk} {
+		c.Finish()
+		if err := c.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestModelRandomLinesCostAudits pins the checked-mode audit cadence for
+// batched pricing: every auditEvery priced lines, however they are
+// batched, run one structural audit. A corrupted set the walk never
+// touches stays unreported for auditEvery-1 lines and is caught at the
+// next.
+func TestModelRandomLinesCostAudits(t *testing.T) {
+	p := cost.Default()
+	m := NewModel(p)
+	chk := check.New()
+	m.SetChecker(chk)
+	buf := m.Space.Alloc(64*p.CacheLine, 0)
+	m.Cache.state[m.Cache.ways] = 1 // set 0: invalid way 0 with a stamp
+	idx := make([]uint32, 1000)
+	for k := range idx {
+		idx[k] = uint32(k % 64)
+	}
+	for priced := 0; priced+len(idx) < auditEvery; priced += len(idx) {
+		m.RandomLinesCost(buf, idx)
+	}
+	m.RandomLinesCost(buf, idx[:auditEvery%len(idx)-1])
+	if v := chk.Violations(); len(v) != 0 {
+		t.Fatalf("audited before %d priced lines: %v", auditEvery, v)
+	}
+	m.RandomLinesCost(buf, idx[:1])
+	if v := chk.Violations(); len(v) != 1 || !strings.Contains(v[0], "is invalid but has LRU stamp") {
+		t.Fatalf("after %d priced lines: violations %v, want the corrupted set", auditEvery, v)
+	}
+}
+
 func TestModelZeroSizes(t *testing.T) {
 	m := NewModel(cost.Default())
-	if m.CopyCost(0, 0, 0) != 0 || m.TouchCost(0, 0) != 0 || m.RandomCost(0, 0) != 0 {
+	if m.CopyCost(0, 0, 0) != 0 || m.TouchCost(0, 0) != 0 || m.RandomCost(0, 0) != 0 ||
+		m.RandomLinesCost(Buffer{}, nil) != 0 {
 		t.Fatal("zero-size operations must cost nothing")
 	}
 }
@@ -282,6 +385,14 @@ func TestCacheTickWrap(t *testing.T) {
 		// One call that needs more ticks than remain renormalises first.
 		c.tick = math.MaxUint32 - 5
 		applyOp(t, c, o, step, cacheOp{kind: 0, addr: 0, n: 100 * lineSize})
+		// So does one batch of indexed lines, with repeats and lines
+		// that share a set.
+		c.tick = math.MaxUint32 - 5
+		idx := []uint32{0, 3, 3, 16, 32, 48, 5, 0, 21, 37, 53, 69, 85, 7}
+		applyIndexed(t, c, o, step+1, Buffer{Addr: 64, Size: 100 * lineSize}, idx)
+		if c.tick > uint32(ways)+uint32(len(idx)) {
+			t.Fatalf("%d-way: indexed batch did not renormalise the tick (tick %d)", ways, c.tick)
+		}
 		checkOracleEnd(t, c, o)
 	}
 }
@@ -307,6 +418,7 @@ func TestCacheTagRangePanics(t *testing.T) {
 		{"Install", func() { c.Install(top+16, 1) }},
 		{"Invalidate", func() { c.Invalidate(top, 17) }},
 		{"Contains", func() { c.Contains(top + 16) }},
+		{"AccessIndexed", func() { c.AccessIndexed(Buffer{Addr: top, Size: 17}, []uint32{0}) }},
 	} {
 		func() {
 			defer func() {
@@ -316,6 +428,41 @@ func TestCacheTagRangePanics(t *testing.T) {
 			}()
 			tc.op()
 		}()
+	}
+}
+
+// TestCacheIndexOutOfRangePanics pins AccessIndexed's bounds check: an
+// index naming a line past the buffer panics with errLineIndex, after
+// the lines before it are counted and with the cache still consistent;
+// an empty buffer admits no index at all.
+func TestCacheIndexOutOfRangePanics(t *testing.T) {
+	c := NewCache(64*1024, 64, 8)
+	buf := Buffer{Addr: 4096 + 8, Size: 4 * 64} // unaligned: spans 5 lines, indexes 4
+	for _, tc := range []struct {
+		name string
+		buf  Buffer
+		idx  []uint32
+		ok   int
+	}{
+		{"past the end", buf, []uint32{0, 3, 1, 4, 2}, 3},
+		{"huge index", buf, []uint32{1, math.MaxUint32}, 1},
+		{"empty buffer", Buffer{Addr: 4096}, []uint32{0}, 0},
+	} {
+		before := c.Hits + c.Misses
+		func() {
+			defer func() {
+				if r := recover(); r != errLineIndex {
+					t.Errorf("%s: recovered %v, want %v", tc.name, r, errLineIndex)
+				}
+			}()
+			c.AccessIndexed(tc.buf, tc.idx)
+		}()
+		if got := c.Hits + c.Misses - before; got != uint64(tc.ok) {
+			t.Errorf("%s: counted %d lines before the panic, want %d", tc.name, got, tc.ok)
+		}
+		if err := c.Audit(); err != nil {
+			t.Errorf("%s: cache inconsistent after the panic: %v", tc.name, err)
+		}
 	}
 }
 

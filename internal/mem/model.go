@@ -78,9 +78,12 @@ func (m *Model) streamObs(hits, misses int) {
 
 // observe is the per-operation probe: hit/miss counters must be
 // monotone and consistent, and the structure is audited periodically.
-func (m *Model) observe() {
-	m.ops++
-	if m.ops%auditEvery == 0 {
+// A batched operation counts as n, one per line it priced, so batching
+// never makes audits rarer.
+func (m *Model) observe(n int) {
+	before := m.ops
+	m.ops += uint64(n)
+	if m.ops/auditEvery != before/auditEvery {
 		if err := m.Cache.Audit(); err != nil {
 			m.chk.Failf("mem", "cache audit after %d ops: %v", m.ops, err)
 		}
@@ -103,7 +106,7 @@ func (m *Model) CopyCost(src, dst Addr, n int) time.Duration {
 		m.chk.Assert(sh+sm == m.lineSpan(src, n) && dh+dm == m.lineSpan(dst, n),
 			"mem", "copy of %d bytes touched %d+%d source and %d+%d destination lines",
 			n, sh, sm, dh, dm)
-		m.observe()
+		m.observe(1)
 	}
 	if m.obs != nil {
 		m.streamObs(sh+dh, sm+dm)
@@ -133,7 +136,7 @@ func (m *Model) TouchCost(addr Addr, n int) time.Duration {
 	if m.chk != nil {
 		m.chk.Assert(h+miss == m.lineSpan(addr, n),
 			"mem", "touch of %d bytes counted %d hits + %d misses", n, h, miss)
-		m.observe()
+		m.observe(1)
 	}
 	if m.obs != nil {
 		m.streamObs(h, miss)
@@ -152,7 +155,29 @@ func (m *Model) RandomCost(addr Addr, nLines int) time.Duration {
 	if m.chk != nil {
 		m.chk.Assert(h+miss == max(nLines, 0),
 			"mem", "random access of %d lines counted %d hits + %d misses", nLines, h, miss)
-		m.observe()
+		m.observe(1)
+	}
+	if m.obs != nil {
+		m.obs.Cost(trace.SiteHeaderHit, time.Duration(h)*m.P.RandHit)
+		m.obs.Cost(trace.SiteHeaderMiss, time.Duration(miss)*m.P.RandMiss)
+	}
+	return time.Duration(h)*m.P.RandHit + time.Duration(miss)*m.P.RandMiss
+}
+
+// RandomLinesCost prices dependent accesses to the lines of buf named by
+// idx, in order (index i is the line at buf.Addr + i*CacheLine) — the
+// pattern of an application touching scattered lines of its working
+// set. It returns exactly what one RandomCost(line, 1) call per index
+// would, summed, and leaves the cache and the profiler in the same
+// state, but prices the whole list in one cache walk.
+//
+//ioat:hotpath
+func (m *Model) RandomLinesCost(buf Buffer, idx []uint32) time.Duration {
+	h, miss := m.Cache.AccessIndexed(buf, idx)
+	if m.chk != nil {
+		m.chk.Assert(h+miss == len(idx),
+			"mem", "batched random access counted %d hits + %d misses", h, miss)
+		m.observe(h + miss)
 	}
 	if m.obs != nil {
 		m.obs.Cost(trace.SiteHeaderHit, time.Duration(h)*m.P.RandHit)
@@ -189,7 +214,7 @@ func (m *Model) InstallPacket(addr Addr, n int) time.Duration {
 	if m.chk != nil {
 		m.chk.Assert(evicted <= m.lineSpan(addr, n),
 			"mem", "installing %d bytes evicted %d lines, more than it spans", n, evicted)
-		m.observe()
+		m.observe(1)
 	}
 	if m.obs != nil {
 		m.obs.Cost(trace.SiteEvict, time.Duration(evicted)*m.P.EvictPenalty)

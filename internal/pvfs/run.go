@@ -89,6 +89,7 @@ func Run(o Options) Metrics {
 		opts = append(opts, host.WithObservability(o.Obs))
 	}
 	cl := host.NewCluster(o.P, o.Seed, opts...)
+	defer cl.Close()
 	compute := cl.Add("compute", o.Feat, 6)
 	server := cl.Add("server", o.Feat, 6)
 	sys := New(server, o.IODs, 0)

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Proc is a simulation process: sequential code running in its own
 // goroutine, scheduled exclusively by the event loop. Blocking operations
@@ -13,8 +16,16 @@ type Proc struct {
 	name   string
 	resume chan struct{}
 	done   bool
-	dead   bool // set when the process function returned
+	dead   bool // set when the process goroutine exited
+	slot   int  // index in sim.live while the goroutine is alive
 }
+
+// errClosed is the panic value a process parked at Close unwinds with,
+// and the one a closed simulator refuses to run with.
+var errClosed = errors.New("sim: simulator closed")
+
+// errCloseInProc is the panic value of a Close called by a process.
+var errCloseInProc = errors.New("sim: Close called from inside a process")
 
 // Name returns the label the process was spawned with.
 func (p *Proc) Name() string { return p.name }
@@ -33,18 +44,55 @@ func (s *Simulator) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnAfter starts fn as a simulation process after delay d.
 func (s *Simulator) SpawnAfter(d Duration, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, resume: make(chan struct{})}
-	s.nprocs++
+	p := &Proc{sim: s, name: name, resume: make(chan struct{}), slot: len(s.live)}
+	s.live = append(s.live, p)
 	//ioatlint:allow simdeterminism — the engine's own process machinery: exactly one goroutine runs at a time, hand-off is via resume/parked, so scheduling stays deterministic
 	go func() {
+		defer func() {
+			if r := recover(); r != nil && r != errClosed {
+				panic(r) // a genuine failure: crash with the event loop still blocked
+			}
+			s.exitProc(p)
+		}()
 		<-p.resume // wait to be scheduled for the first time
-		fn(p)
-		p.dead = true
-		s.nprocs--
-		s.parked <- struct{}{} // return control to the event loop
+		if !s.closing {
+			fn(p)
+		}
 	}()
 	s.ScheduleArg(d, resumeProc, p)
 	return p
+}
+
+// exitProc retires p as its goroutine exits — fn returned, or Close
+// unwound it — and returns control to the event loop.
+func (s *Simulator) exitProc(p *Proc) {
+	p.dead = true
+	last := s.live[len(s.live)-1]
+	s.live[p.slot], last.slot = last, p.slot
+	s.live[len(s.live)-1] = nil
+	s.live = s.live[:len(s.live)-1]
+	s.parked <- struct{}{}
+}
+
+// Close ends every process whose goroutine is still alive: parked
+// processes, and spawned ones that never ran. Each is resumed with the
+// simulator marked closing; a parked one unwinds out of park (its
+// deferred calls run), one that never started skips its function. A
+// process parked forever otherwise pins its goroutine, and through it
+// the whole simulated system, for the life of the program. Close is
+// called from outside the event loop once a run is over; it does not
+// count as a process switch, is idempotent, and leaves the simulator
+// unable to run again.
+func (s *Simulator) Close() {
+	if s.current != nil {
+		panic(errCloseInProc)
+	}
+	s.closing = true
+	for len(s.live) > 0 {
+		p := s.live[len(s.live)-1]
+		p.resume <- struct{}{}
+		<-s.parked
+	}
 }
 
 // resumeProc is the pre-bound callback behind every process wake-up
@@ -76,9 +124,16 @@ func (s *Simulator) runProc(p *Proc) {
 }
 
 // park suspends the calling process until the event loop resumes it.
+// Resumed by Close, it unwinds with errClosed, which the spawn wrapper
+// recovers. A panic, not runtime.Goexit: the inliner prices a panic at
+// almost nothing but any call at more than park's whole budget, and park
+// inlines into every blocking primitive.
 func (p *Proc) park() {
 	p.sim.parked <- struct{}{}
 	<-p.resume
+	if p.sim.closing {
+		panic(errClosed)
+	}
 }
 
 // Park suspends the calling process until another component wakes it with

@@ -204,10 +204,13 @@ type Simulator struct {
 
 	// Process scheduling handshake. While a process goroutine runs, the
 	// event loop blocks on parked, so exactly one goroutine ever touches
-	// simulator state at a time.
+	// simulator state at a time. live holds every process whose
+	// goroutine has not exited (each knows its slot); closing is set by
+	// Close.
 	parked  chan struct{}
 	current *Proc
-	nprocs  int
+	live    []*Proc
+	closing bool
 
 	// executed counts events dispatched, for diagnostics and tests;
 	// flushed marks how much of it has been added to globalExecuted.
@@ -349,6 +352,9 @@ func (s *Simulator) Run() Time {
 // the clock to min(deadline, last event time) and returns it. Events
 // beyond the deadline remain pending.
 func (s *Simulator) RunUntil(deadline Time) Time {
+	if s.closing {
+		panic(errClosed)
+	}
 	s.stopped = false
 	defer s.flushExecuted()
 	for s.pending > 0 && !s.stopped {
