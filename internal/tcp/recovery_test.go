@@ -26,9 +26,9 @@ type faultNet struct {
 	sa, sb *Stack
 }
 
-func newFaultNet(feat ioat.Features, p *cost.Params, plan fault.Plan) *faultNet {
+func newFaultNet(feat ioat.Features, p *cost.Params, plan fault.Plan, opts ...sim.Option) *faultNet {
 	chk := check.New()
-	s := sim.New(sim.WithProbe(chk))
+	s := sim.New(append([]sim.Option{sim.WithProbe(chk)}, opts...)...)
 	in := fault.NewInjector(plan)
 	mk := func(name string) *Stack {
 		m := mem.NewModel(p)
