@@ -1,15 +1,15 @@
 package msg
 
-// Continuation-passing framed messaging: the same header+body protocol
-// as the blocking Send/Recv, driven by a sim.Task through the
-// transport's Sender/Receiver state machines. An Async is created once
-// per (endpoint, task) on the cold path and reused for every message;
-// continuations are bound at construction so the steady state allocates
-// nothing. Callers must likewise pass pre-bound done callbacks.
+// Async is framed messaging's only state machine: envelope enqueue,
+// header-then-body transfer and the message ledgers live here, driven by
+// a sim.Task through the transport's Sender/Receiver. The blocking
+// Conn.Send/Recv are adapters that drive a per-direction Async and park
+// the calling Proc until its done callback runs.
 //
-// The event pushes are exactly those of the blocking path — envelope
-// enqueue and ledger-in before the header bytes move, ledger-out after
-// the body lands — so converted loops schedule byte-identically.
+// An Async is created once per (endpoint, task) on the cold path and
+// reused for every message; continuations are bound at construction so
+// the steady state allocates nothing. Callers must likewise pass
+// pre-bound done callbacks.
 
 import (
 	"ioatsim/internal/mem"
@@ -50,8 +50,10 @@ func NewAsync(m *Conn, t *sim.Task) *Async {
 	return a
 }
 
-// Send is the continuation-passing form of Conn.Send: done fires when
-// the last payload byte has been handed to the NIC.
+// Send transmits one message: meta describes it, body is the payload
+// length, and src is the user buffer the payload is charged against
+// (the header staging buffer when src is empty). done fires when the
+// last payload byte has been handed to the NIC.
 func (a *Async) Send(meta any, body int, src mem.Buffer, opts tcp.SendOptions, done func()) {
 	m := a.M
 	if body < 0 {
@@ -86,9 +88,9 @@ func (a *Async) sendBodyStep() {
 	done()
 }
 
-// Recv is the continuation-passing form of Conn.Recv: done fires with
-// the message's envelope once header and body have been consumed into
-// dst (the header staging buffer when dst is empty).
+// Recv receives one whole message: done fires with its envelope once
+// header and body have been consumed into dst (the header staging
+// buffer when dst is empty).
 func (a *Async) Recv(dst mem.Buffer, done func(Envelope)) {
 	a.recvDst, a.recvDone = dst, done
 	// Wait for the header bytes first; envelope registration at send time

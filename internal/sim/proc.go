@@ -245,3 +245,55 @@ func (c *Completion) WaitTask(t *Task, cont func()) bool {
 	c.c.waiter = t
 	return true
 }
+
+// Handoff parks a Proc on an operation that a Task-style state machine
+// drives, and resumes it when the operation's done callback runs. It is
+// how a blocking call becomes a thin adapter over a continuation: the
+// adapter starts the operation with Done() as its callback, then calls
+// Wait.
+//
+// Unlike a Completion, a Handoff pushes no event of its own. Fired on
+// the event loop while a Proc waits, it runs that Proc inside the
+// firing event, so the parked Proc resumes at exactly the point, and in
+// exactly the order, that a Proc woken by the operation's last event
+// would. Fired before Wait (the operation finished synchronously), it
+// makes Wait return at once.
+type Handoff struct {
+	waiter *Proc
+	fired  bool
+	done   func()
+}
+
+// NewHandoff returns an idle handoff with its callback pre-bound, so
+// each operation it adapts allocates nothing.
+func NewHandoff() *Handoff {
+	h := &Handoff{}
+	h.done = h.Fire
+	return h
+}
+
+// Done returns Fire as a callback to hand to the operation.
+func (h *Handoff) Done() func() { return h.done }
+
+// Fire resumes the waiting Proc, or records that the operation finished
+// before anyone waited.
+func (h *Handoff) Fire() {
+	p := h.waiter
+	if p == nil {
+		h.fired = true
+		return
+	}
+	h.waiter = nil
+	p.sim.runProc(p)
+}
+
+// Wait parks p until the operation's done callback runs, or returns at
+// once if it already has.
+func (h *Handoff) Wait(p *Proc) {
+	if h.fired {
+		h.fired = false
+		return
+	}
+	h.waiter = p
+	p.park()
+}

@@ -90,11 +90,10 @@ func resumeTask(a any) {
 	t.cont()
 }
 
-// Wake schedules a parked waiter — a *Proc blocked in Park or an idle
-// *Task — to resume at the current time. Components that keep waiter
-// lists usable by both kinds of context (the transport's window and
-// receive waiters) store them as `any` and wake them through here; both
-// arms push the same single pre-bound event.
+// WakeAny schedules a parked waiter — a *Proc blocked in Park or an
+// idle *Task — to resume at the current time. A Completion, whose one
+// waiter may be either kind, wakes it through here; both arms push the
+// same single pre-bound event.
 //
 //ioat:hotpath
 func (s *Simulator) WakeAny(w any) {

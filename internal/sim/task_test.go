@@ -218,3 +218,33 @@ func TestProcSwitchCounting(t *testing.T) {
 		t.Fatalf("GlobalProcSwitches grew by %d, want 2", got)
 	}
 }
+
+// TestHandoff pins the adapter primitive: fired on the event loop, it
+// resumes the waiting Proc inside the firing event and pushes nothing;
+// fired before Wait, Wait returns at once.
+func TestHandoff(t *testing.T) {
+	s := New()
+	h := NewHandoff()
+	task := s.NewTask("op")
+	var resumed, inline Time = -1, -1
+	s.Spawn("caller", func(p *Proc) {
+		// An operation that finishes synchronously.
+		h.Done()()
+		h.Wait(p)
+		inline = p.Now()
+		// One that finishes in a later event.
+		task.OnWake(h.Done())
+		task.WakeAfter(5)
+		h.Wait(p)
+		resumed = p.Now()
+	})
+	s.Run()
+	if inline != 0 || resumed != 5 {
+		t.Fatalf("inline return at %v, resume at %v; want 0 and 5", inline, resumed)
+	}
+	// Spawn and the task wake are the only events; the spawn and the
+	// handoff are the only process switches.
+	if s.Executed() != 2 || s.ProcSwitches() != 2 {
+		t.Fatalf("executed %d events and %d switches, want 2 and 2", s.Executed(), s.ProcSwitches())
+	}
+}

@@ -187,14 +187,22 @@ type Conn struct {
 	rxq         []*pending
 	rxqHead     int
 	rxAvail     int
-	rxWaiter    any  // *sim.Proc or *sim.Task, woken via WakeAny
-	posted      bool // a recv is posted (enables eager DMA submit)
+	rxWaiter    *sim.Task // the Receiver parked on an empty queue
+	posted      bool      // a recv is posted (enables eager DMA submit)
 	doneScratch []*pending
 
-	// Transmit side (flow control). Waiters are *sim.Proc or *sim.Task.
-	window    int
-	inflight  int
-	txWaiters []any
+	// Transmit side (flow control).
+	window   int
+	inflight int
+	txWaiter *sim.Task // the Sender parked on a closed window
+
+	// Blocking-call adapters (async.go), built on first use: each
+	// direction drives its own state machine and parks the caller on a
+	// Handoff.
+	syncTx   *Sender
+	syncRx   *Receiver
+	txReturn *sim.Handoff
+	rxReturn *sim.Handoff
 
 	// Loss recovery (recovery.go); all idle when the stack has no fault
 	// plan. sndUna..sndNxt is the unacked stream range, tracked segment
@@ -291,77 +299,6 @@ type SendOptions struct {
 	ZeroCopy bool
 }
 
-// Send transmits n bytes whose source is the user buffer src (cycled if
-// smaller than n), blocking the calling process for the CPU portions and
-// for window stalls. It returns when the last byte has been handed to
-// the NIC.
-func (c *Conn) Send(p *sim.Proc, src mem.Buffer, n int) {
-	c.SendOpts(p, src, n, SendOptions{})
-}
-
-// SendOpts is Send with options.
-func (c *Conn) SendOpts(p *sim.Proc, src mem.Buffer, n int, opts SendOptions) {
-	st := c.stack
-	pm := st.P
-	sent := 0
-	for sent < n {
-		// Window stall: wait for credit.
-		for c.inflight >= c.window {
-			c.txWaiters = append(c.txWaiters, p)
-			p.Park()
-			st.CPU.ExecSite(p, trace.SiteCtxSwitch, st.CPU.WakeCost())
-		}
-		chunk := n - sent
-		if chunk > pm.ChunkMax {
-			chunk = pm.ChunkMax
-		}
-		if free := c.window - c.inflight; chunk > free {
-			chunk = free
-		}
-
-		var work time.Duration = pm.Syscall
-		if !opts.ZeroCopy {
-			kb := st.txPool.Get()
-			srcOff := 0
-			if src.Size > chunk {
-				srcOff = sent % (src.Size - chunk + 1)
-			}
-			work += st.Mem.CopyCost(src.Addr+mem.Addr(srcOff), kb.Addr, chunk)
-			st.txPool.Put(kb)
-		}
-		work += st.NIC.TxCost(chunk)
-		st.CPU.ExecSite(p, trace.SiteTxSend, work)
-
-		c.inflight += chunk
-		if st.chk != nil {
-			st.chk.Assert(chunk > 0 && c.inflight <= c.window,
-				"tcp", "%s sent %d-byte chunk, inflight %d over window %d",
-				st.Name, chunk, c.inflight, c.window)
-			st.chk.Ledger("tcp:stream").In(int64(chunk))
-		}
-		st.BytesSent += int64(chunk)
-		lc := st.chunkPool.Get()
-		lc.Bytes = chunk
-		lc.Frames = pm.Frames(chunk)
-		lc.WireBytes = pm.WireBytes(chunk)
-		lc.Meta = c.peer
-		if st.fp != nil {
-			lc.Seq = c.sndNxt
-			st.trackSeg(c, c.sndNxt, chunk)
-			c.sndNxt += int64(chunk)
-		}
-		st.NIC.Port(c.localPort).Send(c.peer.stack.NIC.Port(c.peerPort), lc)
-		if st.obs != nil {
-			st.obs.Instant(trace.TidTCP, trace.SiteTCPSegment, int64(chunk))
-		}
-		if st.segHist != nil {
-			st.segHist.Observe(float64(chunk))
-		}
-		st.NIC.TxComplete(c.localPort, c, chunk)
-		sent += chunk
-	}
-}
-
 // onReceive is the NIC handler: queue the chunk on its connection, start
 // the engine copy eagerly if a recv is posted, and wake the reader.
 func (st *Stack) onReceive(rx *nic.RxChunk) {
@@ -381,7 +318,7 @@ func (st *Stack) onReceive(rx *nic.RxChunk) {
 		pd = &pending{rx: rx}
 	}
 	if st.Feat.DMACopy && c.posted {
-		st.submitDMA(c, pd, nil)
+		st.submitDMA(c, pd)
 	}
 	if c.rxqHead > 0 && len(c.rxq) == cap(c.rxq) {
 		// Compact the consumed prefix instead of growing the backing array.
@@ -407,108 +344,28 @@ func (st *Stack) onReceive(rx *nic.RxChunk) {
 	}
 	if w := c.rxWaiter; w != nil {
 		c.rxWaiter = nil
-		st.S.WakeAny(w)
+		w.Wake()
 	}
 }
 
-// submitDMA hands a whole chunk's payload to the copy engine. The per-
-// frame submit cost lands on the rx core when issued from softirq context
-// (proc == nil) or blocks the reader when issued from recv.
-func (st *Stack) submitDMA(c *Conn, pd *pending, p *sim.Proc) {
-	frames := pd.rx.Chunk.Frames
-	submit := time.Duration(frames) * st.P.DMAFrameSubmit
-	if p != nil {
-		st.CPU.ExecSite(p, trace.SiteDMASubmit, submit)
-	} else {
-		st.CPU.SubmitOnSite(st.NIC.RxCore(pd.rx.Port, c), trace.SiteDMASubmit, submit, nil)
-	}
-	// Destination: the posted user buffer region. Address identity only
-	// matters for cache bookkeeping (the engine invalidates it).
+// submitDMA starts the engine copy of pd from softirq context: the
+// per-frame submit cost lands on the rx core.
+func (st *Stack) submitDMA(c *Conn, pd *pending) {
+	st.CPU.SubmitOnSite(st.NIC.RxCore(pd.rx.Port, c), trace.SiteDMASubmit, st.dmaSubmitCost(pd), nil)
+	st.startDMA(pd)
+}
+
+// dmaSubmitCost is the CPU cost of handing pd's chunk to the copy
+// engine: one descriptor per frame.
+func (st *Stack) dmaSubmitCost(pd *pending) time.Duration {
+	return time.Duration(pd.rx.Chunk.Frames) * st.P.DMAFrameSubmit
+}
+
+// startDMA hands pd's whole payload to the copy engine. Destination:
+// the posted user buffer region. Address identity only matters for
+// cache bookkeeping (the engine invalidates it).
+func (st *Stack) startDMA(pd *pending) {
 	pd.dma = st.DMA.Submit(pd.rx.Bufs[0].Addr, 0, pd.rx.Chunk.Bytes)
-}
-
-// Recv consumes exactly n bytes of the stream into the user buffer dst
-// (cycled if smaller), blocking until they have arrived and been copied —
-// by the CPU through the cache, or by the I/OAT engine. Kernel buffers
-// are retained until this call returns (the net_dma skb lifetime), so
-// large in-flight messages hold a large receive-path working set.
-func (c *Conn) Recv(p *sim.Proc, dst mem.Buffer, n int) {
-	st := c.stack
-	pm := st.P
-	if n <= 0 {
-		return
-	}
-	if st.Feat.DMACopy {
-		// Pin the posted buffer once per recv call.
-		st.CPU.ExecSite(p, trace.SitePin, time.Duration(pm.Pages(n))*pm.PinPerPage)
-	}
-	c.posted = true
-	done := c.doneScratch[:0]
-	need := n
-	off := 0
-	for need > 0 {
-		for c.rxAvail == 0 {
-			if c.rxWaiter != nil {
-				panic("tcp: concurrent Recv on one connection")
-			}
-			c.rxWaiter = p
-			p.Park()
-			st.CPU.ExecSite(p, trace.SiteCtxSwitch, st.CPU.WakeCost())
-		}
-		pd := c.rxq[c.rxqHead]
-		m := pd.remaining()
-		if m > need {
-			m = need
-		}
-
-		work := pm.Syscall
-		if st.Feat.DMACopy {
-			if pd.dma == nil {
-				st.submitDMA(c, pd, p)
-			}
-			st.CPU.ExecSite(p, trace.SiteRecvCopy, work)
-			pd.dma.Wait(p)
-		} else {
-			work += c.copyCost(pd, m, dst, off)
-			st.CPU.ExecSite(p, trace.SiteRecvCopy, work)
-		}
-
-		pd.off += m
-		c.rxAvail -= m
-		need -= m
-		if st.bkGauge != nil {
-			st.noteBacklog(int64(-m))
-		}
-		if st.chk != nil {
-			st.chk.Assert(pd.off <= pd.rx.Chunk.Bytes,
-				"tcp", "%s consumed %d bytes of a %d-byte chunk", st.Name, pd.off, pd.rx.Chunk.Bytes)
-			st.chk.Assert(c.rxAvail >= 0,
-				"tcp", "%s receive backlog went negative (%d)", st.Name, c.rxAvail)
-		}
-		off = (off + m) % max(dst.Size, 1)
-		if pd.remaining() == 0 {
-			c.rxq[c.rxqHead] = nil
-			c.rxqHead++
-			if c.rxqHead == len(c.rxq) {
-				c.rxq = c.rxq[:0]
-				c.rxqHead = 0
-			}
-			done = append(done, pd)
-		}
-		c.credit(m)
-	}
-	c.posted = false
-	for _, pd := range done {
-		pd.rx.Free()
-		if pd.dma != nil {
-			// The completion has fired and its waiter resumed (this very
-			// call waited on it), so it is safe to rearm for reuse.
-			st.DMA.Recycle(pd.dma)
-		}
-		*pd = pending{}
-		st.pendFree = append(st.pendFree, pd)
-	}
-	c.doneScratch = done[:0]
 }
 
 // copyCost prices the CPU copy of m bytes from the chunk's kernel buffers
@@ -586,11 +443,9 @@ func applyCredit(a any) {
 	if peer.inflight < 0 {
 		panic("tcp: negative inflight")
 	}
-	for len(peer.txWaiters) > 0 && peer.inflight < peer.window {
-		w := peer.txWaiters[0]
-		k := copy(peer.txWaiters, peer.txWaiters[1:])
-		peer.txWaiters = peer.txWaiters[:k]
-		peer.stack.S.WakeAny(w)
+	if w := peer.txWaiter; w != nil && peer.inflight < peer.window {
+		peer.txWaiter = nil
+		w.Wake()
 	}
 	st := c.stack
 	ev.conn = nil
