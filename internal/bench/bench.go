@@ -128,9 +128,6 @@ func (c Config) hostOpts() []host.Option {
 	return opts
 }
 
-// DefaultConfig runs paper-sized experiments.
-func DefaultConfig() Config { return Config{Seed: 1, Scale: 1} }
-
 // duration scales a nominal measurement window.
 func (c Config) duration(d time.Duration) time.Duration {
 	if c.Scale <= 0 || c.Scale == 1 {

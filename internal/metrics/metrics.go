@@ -51,16 +51,6 @@ type Registry struct {
 // New returns an empty registry.
 func New() *Registry { return &Registry{} }
 
-// Enabled returns the Registry installed on the simulator, or nil.
-func Enabled(s *sim.Simulator) *Registry {
-	for _, p := range s.Probes() {
-		if r, ok := p.(*Registry); ok {
-			return r
-		}
-	}
-	return nil
-}
-
 // EventScheduled implements sim.Probe.
 func (r *Registry) EventScheduled(now, at sim.Time) { r.scheduled.Add(1) }
 

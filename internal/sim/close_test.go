@@ -98,8 +98,8 @@ func TestCloseTwice(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Spawn("short", func(p *Proc) { p.Sleep(1) })
 	}
-	g := NewGate(s)
-	s.Spawn("gated", func(p *Proc) { g.Wait(p) })
+	never := s.NewCompletion()
+	s.Spawn("waiter", func(p *Proc) { never.Wait(p) })
 	s.Run()
 	if len(s.live) != 1 {
 		t.Fatalf("%d live procs after 100 finished and 1 parked, want 1", len(s.live))

@@ -271,7 +271,7 @@ func (c *PointCache) lookup(key string) ([]byte, bool) {
 // store records the encoding for key. Disk writes go through a temp
 // file and rename, so a crashed or concurrent run never leaves a
 // half-written entry (a corrupted entry would be recomputed anyway, see
-// CachedRun). Persistence errors are deliberately swallowed: the cache
+// CachedRunCtx). Persistence errors are deliberately swallowed: the cache
 // is an accelerator, never a correctness dependency.
 func (c *PointCache) store(key string, blob []byte) {
 	c.mu.Lock()
@@ -309,18 +309,12 @@ func (c *PointCache) count(hit bool) {
 	c.mu.Unlock()
 }
 
-// CachedRun is Run with per-point memoization: before computing point
-// i, the cache is consulted at key(i), and a decodable hit is returned
-// without running fn. Misses — including entries that fail to decode,
-// e.g. a truncated or corrupted cache file — run fn and store its
-// gob-encoded result (T must therefore have exported fields). A nil
-// cache degrades to plain Run.
-func CachedRun[T any](c *PointCache, parallel, n int, key func(i int) string, fn func(i int) T) []T {
-	out, _ := CachedRunCtx(context.Background(), c, parallel, n, key, fn)
-	return out
-}
-
-// CachedRunCtx is CachedRun under a context, with RunCtx's cancellation
+// CachedRunCtx is RunCtx with per-point memoization: before computing
+// point i, the cache is consulted at key(i), and a decodable hit is
+// returned without running fn. Misses — including entries that fail to
+// decode, e.g. a truncated or corrupted cache file — run fn and store
+// its gob-encoded result (T must therefore have exported fields). A nil
+// cache degrades to plain RunCtx. It keeps RunCtx's cancellation
 // contract: no new point (cached or not) starts once ctx is cancelled,
 // and the call returns ctx.Err() alongside the partial results.
 func CachedRunCtx[T any](ctx context.Context, c *PointCache, parallel, n int, key func(i int) string, fn func(i int) T) ([]T, error) {

@@ -64,8 +64,8 @@ func TestCachedRunMemo(t *testing.T) {
 		calls.Add(1)
 		return row{N: i, F: float64(i) / 2}
 	}
-	first := CachedRun(c, 1, 4, key, fn)
-	second := CachedRun(c, 1, 4, key, fn)
+	first, _ := CachedRunCtx(bg, c, 1, 4, key, fn)
+	second, _ := CachedRunCtx(bg, c, 1, 4, key, fn)
 	if calls.Load() != 4 {
 		t.Fatalf("fn ran %d times, want 4 (second sweep must be all hits)", calls.Load())
 	}
@@ -90,8 +90,8 @@ func TestCachedRunPersists(t *testing.T) {
 		calls.Add(1)
 		return row{N: i, D: int64(i) * 1000}
 	}
-	first := CachedRun(NewPointCache(dir), 1, 3, key, fn)
-	second := CachedRun(NewPointCache(dir), 1, 3, key, fn)
+	first, _ := CachedRunCtx(bg, NewPointCache(dir), 1, 3, key, fn)
+	second, _ := CachedRunCtx(bg, NewPointCache(dir), 1, 3, key, fn)
 	if calls.Load() != 3 {
 		t.Fatalf("fn ran %d times, want 3 (second cache must hit the files)", calls.Load())
 	}
@@ -107,14 +107,14 @@ func TestCachedRunPersists(t *testing.T) {
 func TestCachedRunCorruptedFile(t *testing.T) {
 	dir := t.TempDir()
 	key := func(i int) string { return Key("corrupt", i) }
-	CachedRun(NewPointCache(dir), 1, 1, key, func(i int) row { return row{N: 42} })
+	CachedRunCtx(bg, NewPointCache(dir), 1, 1, key, func(i int) row { return row{N: 42} })
 	path := filepath.Join(dir, key(0)+".gob")
 	if err := os.WriteFile(path, []byte("not gob at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var calls atomic.Int64
 	c := NewPointCache(dir)
-	out := CachedRun(c, 1, 1, key, func(i int) row {
+	out, _ := CachedRunCtx(bg, c, 1, 1, key, func(i int) row {
 		calls.Add(1)
 		return row{N: 42}
 	})
@@ -129,7 +129,7 @@ func TestCachedRunCorruptedFile(t *testing.T) {
 	}
 	// The rewrite must have healed the entry.
 	var calls2 atomic.Int64
-	CachedRun(NewPointCache(dir), 1, 1, key, func(i int) row {
+	CachedRunCtx(bg, NewPointCache(dir), 1, 1, key, func(i int) row {
 		calls2.Add(1)
 		return row{N: 42}
 	})
@@ -146,7 +146,7 @@ func TestCachedRunConcurrent(t *testing.T) {
 	key := func(i int) string { return Key("conc", i%8) }
 	fn := func(i int) row { return row{N: i % 8} }
 	for pass := 0; pass < 2; pass++ {
-		out := CachedRun(c, 8, 64, key, fn)
+		out, _ := CachedRunCtx(bg, c, 8, 64, key, fn)
 		for i, r := range out {
 			if r.N != i%8 {
 				t.Fatalf("pass %d row %d = %+v, want N=%d", pass, i, r, i%8)
@@ -158,9 +158,9 @@ func TestCachedRunConcurrent(t *testing.T) {
 	}
 }
 
-// TestCachedRunNil checks a nil cache degrades to a plain Run.
+// TestCachedRunNil checks a nil cache degrades to a plain RunCtx.
 func TestCachedRunNil(t *testing.T) {
-	out := CachedRun[int](nil, 1, 3, func(i int) string {
+	out, _ := CachedRunCtx[int](bg, nil, 1, 3, func(i int) string {
 		t.Fatal("key must not be called without a cache")
 		return ""
 	}, func(i int) int { return i * i })

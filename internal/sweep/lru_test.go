@@ -6,11 +6,11 @@ import (
 )
 
 // fill stores n distinct single-byte-payload entries through the public
-// CachedRun path so the LRU sees realistic traffic.
+// CachedRunCtx path so the LRU sees realistic traffic.
 func fill(c *PointCache, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		i := i
-		CachedRun(c, 1, 1, func(int) string { return Key("lru", i) },
+		CachedRunCtx(bg, c, 1, 1, func(int) string { return Key("lru", i) },
 			func(int) int { return i })
 	}
 }

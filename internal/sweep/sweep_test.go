@@ -1,15 +1,19 @@
 package sweep
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 )
 
+// bg is the context of sweeps that are never cancelled.
+var bg = context.Background()
+
 func TestRunOrdersResultsByIndex(t *testing.T) {
 	for _, parallel := range []int{1, 2, 8, 0} {
-		got := Run(parallel, 100, func(i int) int { return i * i })
+		got, _ := RunCtx(bg, parallel, 100, func(i int) int { return i * i })
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("parallel=%d: out[%d] = %d, want %d", parallel, i, v, i*i)
@@ -19,10 +23,10 @@ func TestRunOrdersResultsByIndex(t *testing.T) {
 }
 
 func TestRunEmptyAndSingle(t *testing.T) {
-	if got := Run(4, 0, func(i int) int { return i }); got != nil {
+	if got, _ := RunCtx(bg, 4, 0, func(i int) int { return i }); got != nil {
 		t.Fatalf("n=0 returned %v, want nil", got)
 	}
-	got := Run(4, 1, func(i int) string { return "only" })
+	got, _ := RunCtx(bg, 4, 1, func(i int) string { return "only" })
 	if len(got) != 1 || got[0] != "only" {
 		t.Fatalf("n=1 returned %v", got)
 	}
@@ -30,7 +34,7 @@ func TestRunEmptyAndSingle(t *testing.T) {
 
 func TestRunCallsEachIndexOnce(t *testing.T) {
 	var calls [64]int32
-	Run(8, len(calls), func(i int) struct{} {
+	RunCtx(bg, 8, len(calls), func(i int) struct{} {
 		atomic.AddInt32(&calls[i], 1)
 		return struct{}{}
 	})
@@ -43,7 +47,7 @@ func TestRunCallsEachIndexOnce(t *testing.T) {
 
 func TestRunBoundsConcurrency(t *testing.T) {
 	var cur, peak int32
-	Run(3, 50, func(i int) struct{} {
+	RunCtx(bg, 3, 50, func(i int) struct{} {
 		n := atomic.AddInt32(&cur, 1)
 		for {
 			p := atomic.LoadInt32(&peak)
@@ -70,7 +74,7 @@ func TestRunPropagatesPanics(t *testing.T) {
 			t.Fatalf("unexpected panic payload %v", r)
 		}
 	}()
-	Run(4, 10, func(i int) int {
+	RunCtx(bg, 4, 10, func(i int) int {
 		if i == 7 {
 			panic("boom")
 		}
