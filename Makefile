@@ -12,7 +12,8 @@ vet:
 
 # Static contract checks: determinism (no wall clock, no map-order or
 # goroutine nondeterminism in simulation packages), hot-path allocation
-# discipline, nil-guarded probe access, and cache-key completeness.
+# discipline, nil-guarded probe access, cache-key completeness, and
+# dead code (exported internal identifiers nothing references).
 # See DESIGN.md §4i; suppress single findings with
 # `//ioatlint:allow <analyzer> — <reason>`.
 lint:

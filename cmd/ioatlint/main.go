@@ -1,6 +1,7 @@
 // Command ioatlint is the project's static-analysis multichecker. It
 // enforces the simulator's determinism, hot-path allocation, probe
-// nil-guard and cache-key contracts at compile time; see
+// nil-guard and cache-key contracts at compile time, and reports
+// exported internal identifiers that nothing references; see
 // internal/analysis for what each analyzer rejects and why.
 //
 // Usage:

@@ -15,7 +15,9 @@
 //   - cachekey: every exported bench.Config field must be consumed by
 //     Config.key or listed in the exclusion set, and every cost.Params
 //     field must stay canonically encodable (the PR 6 reflection gate
-//     tests are the runtime counterpart).
+//     tests are the runtime counterpart);
+//   - deadcode: an exported package-level identifier under internal/
+//     must be referenced by non-test code somewhere in the module.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is self-contained on the standard
@@ -149,6 +151,8 @@ type Index struct {
 	pkgs map[string]*Package
 	// hotCheckers caches one hotpathalloc summarizer per package.
 	hotCheckers map[string]*hotpathChecker
+	// refs caches deadcode's module-wide reference set.
+	refs map[string]bool
 }
 
 // Pkg returns the loaded package with the given import path, or nil.
@@ -227,7 +231,7 @@ func (f Finding) String() string {
 
 // All returns the full analyzer suite in report order.
 func All() []*Analyzer {
-	return []*Analyzer{SimDeterminism, HotpathAlloc, ProbeGuard, CacheKey}
+	return []*Analyzer{SimDeterminism, HotpathAlloc, ProbeGuard, CacheKey, Deadcode}
 }
 
 // Lint runs the analyzers over the packages, applies the allow-comment

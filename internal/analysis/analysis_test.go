@@ -132,3 +132,27 @@ func TestRealTreeClean(t *testing.T) {
 		t.Error("no //ioat:hotpath annotations found: the steady-state path must be annotated")
 	}
 }
+
+// TestDeadcodeFixture runs deadcode over its fixture beside a stand-in
+// for the module root, as a whole-module load has. Without the root the
+// load is partial and the analyzer must stay silent.
+func TestDeadcodeFixture(t *testing.T) {
+	pkg, err := fixtureLoader.Dir("testdata/src/deadcode", ModulePath+"/internal/deadcode")
+	if err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	pkgs := []*Package{pkg}
+	findings, err := Lint(pkgs, NewIndex(append(pkgs, &Package{Path: ModulePath})), []*Analyzer{Deadcode}, false)
+	if err != nil {
+		t.Fatalf("lint: %v", err)
+	}
+	checkExpectations(t, pkg, findings)
+
+	findings, err = Lint(pkgs, NewIndex(pkgs), []*Analyzer{Deadcode}, false)
+	if err != nil {
+		t.Fatalf("lint: %v", err)
+	}
+	if len(findings) > 0 {
+		t.Errorf("partial load reported findings:\n%s", FormatFindings(findings))
+	}
+}

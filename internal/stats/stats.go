@@ -7,12 +7,13 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"ioatsim/internal/sim"
 )
 
 // Counter accumulates a monotonically increasing count.
+//
+//ioatlint:allow deadcode — superseded by internal/metrics; deleted together with its tests in a change of its own (ROADMAP item 3)
 type Counter struct {
 	n int64
 }
@@ -33,6 +34,8 @@ func (c *Counter) Value() int64 { return c.n }
 
 // Summary accumulates min/max/mean/variance of a stream of samples
 // (Welford's algorithm).
+//
+//ioatlint:allow deadcode — superseded by internal/metrics; deleted together with its tests in a change of its own (ROADMAP item 3)
 type Summary struct {
 	n        int64
 	mean, m2 float64
@@ -79,6 +82,8 @@ func (s *Summary) Stddev() float64 {
 
 // TimeWeighted tracks the time integral of a piecewise-constant value —
 // the instrument behind CPU-utilization and queue-length reporting.
+//
+//ioatlint:allow deadcode — superseded by internal/metrics; deleted together with its tests in a change of its own (ROADMAP item 3)
 type TimeWeighted struct {
 	value    float64
 	since    sim.Time
@@ -128,6 +133,8 @@ func (g *TimeWeighted) Reset(now sim.Time) {
 }
 
 // Histogram counts samples into power-of-two buckets from 1 up.
+//
+//ioatlint:allow deadcode — superseded by internal/metrics; deleted together with its tests in a change of its own (ROADMAP item 3)
 type Histogram struct {
 	buckets [64]int64
 	n       int64
@@ -241,12 +248,4 @@ func RelativeBenefit(base, accel float64) float64 {
 		return 0
 	}
 	return (base - accel) / base
-}
-
-// Sorted returns a copy of xs in ascending order (helper for tests).
-func Sorted(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	copy(out, xs)
-	sort.Float64s(out)
-	return out
 }
